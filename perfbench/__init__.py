@@ -1,0 +1,6 @@
+"""Benchmark for qhcube: seeded closed-loop workloads, oracles and a traced run.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; ``BENCHMARK.json`` lists the
+workloads and metrics.
+"""
