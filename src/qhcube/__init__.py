@@ -17,6 +17,7 @@ from .blowup import (
     has_higher_order_terms,
     seidel_blowup,
 )
+from .errors import QhcubeError
 from .gkm import (
     EQUIVARIANT_CLASS_JSON_SCHEMA,
     EquivariantClass,
@@ -58,6 +59,7 @@ from .rings import (
     PolyRing,
     Polynomial,
     RewriteSystem,
+    StructureAlgebra,
     UnknownVariableError,
     VariableMismatchError,
     degrees_match,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .linsolve import InconsistentError, solve_unique
-from .rings import Scalar
+from .rings import _ZERO, Scalar, StructureAlgebra
 
 #: Cohomology basis names, in storage order.
 BASIS = ("1", "b", "f", "bf")
@@ -63,10 +63,10 @@ def _basis_product(i: int, j: int) -> tuple[tuple[int, int, int, int], ...]:
     return entry
 
 
-class BlowupClass:
+class BlowupClass(StructureAlgebra):
     """A rational combination of basis elements with Novikov monomials e^(dE+eF)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[TermKey, Scalar]):
         clean: dict[TermKey, Fraction] = {}
@@ -78,13 +78,12 @@ class BlowupClass:
             c = Fraction(coeff)
             if c:
                 key = (int(basis), int(d), int(e))
-                acc = clean.get(key, Fraction(0)) + c
+                acc = clean.get(key, _ZERO) + c
                 if acc:
                     clean[key] = acc
                 elif key in clean:
                     del clean[key]
-        order = sorted(clean.items(), key=lambda kv: _term_order(kv[0]))
-        self.terms = dict(order)
+        super().__init__(None, clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -105,103 +104,50 @@ class BlowupClass:
         """The pure Novikov monomial e^(dE + eF)."""
         return cls({(0, d, e): 1})
 
-    # -- algebra -----------------------------------------------------------
+    # -- the algebra on (basis, dE, dF) keys ---------------------------------
 
-    def _other(self, value) -> "BlowupClass | None":
-        if isinstance(value, BlowupClass):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return BlowupClass({(0, 0, 0): value})
-        return None
+    def _order(self, key: TermKey) -> tuple[int, int, int, int]:
+        # Classical stratum first, then by Novikov monomial, then basis order.
+        basis, d, e = key
+        return (-d - e, -e, -d, -basis)
 
-    def __add__(self, other):
-        other = self._other(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return BlowupClass(out)
+    def _degree(self, key: TermKey) -> int:
+        basis, d, e = key
+        return BASIS_DEGREE[basis] + d * NOVIKOV_DEGREE[0] + e * NOVIKOV_DEGREE[1]
 
-    __radd__ = __add__
+    def _render(self, key: TermKey) -> str:
+        basis, d, e = key
+        parts = []
+        if basis != 0:
+            parts.append(BASIS[basis])
+        if d == 1:
+            parts.append("eE")
+        elif d > 1:
+            parts.append(f"eE^{d}")
+        if e == 1:
+            parts.append("eF")
+        elif e > 1:
+            parts.append(f"eF^{e}")
+        return "*".join(parts)
 
-    def __neg__(self):
-        return BlowupClass({k: -c for k, c in self.terms.items()})
+    def _unit_key(self) -> TermKey:
+        return (0, 0, 0)
 
-    def __sub__(self, other):
-        other = self._other(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._other(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
+    def _product(self, other: "BlowupClass") -> dict[TermKey, Fraction]:
         """Quantum product: the table on basis elements, Novikov exponents add."""
-        if isinstance(other, (int, Fraction)):
-            return BlowupClass({k: c * other for k, c in self.terms.items()})
-        other = self._other(other)
-        if other is None:
-            return NotImplemented
         out: dict[TermKey, Fraction] = {}
         for (b1, d1, e1), c1 in self.terms.items():
             for (b2, d2, e2), c2 in other.terms.items():
                 for basis, dd, de, coeff in _basis_product(b1, b2):
                     key = (basis, d1 + d2 + dd, e1 + e2 + de)
-                    acc = out.get(key, Fraction(0)) + c1 * c2 * coeff
+                    acc = out.get(key, _ZERO) + c1 * c2 * coeff
                     if acc:
                         out[key] = acc
                     elif key in out:
                         del out[key]
-        return BlowupClass(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = BlowupClass.unit()
-        for _ in range(k):
-            out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        other = self._other(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        # Constants hash like their Fraction, matching __eq__'s coercion.
-        if not self.terms:
-            return hash(Fraction(0))
-        if len(self.terms) == 1 and (0, 0, 0) in self.terms:
-            return hash(self.terms[(0, 0, 0)])
-        return hash(tuple(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        return f"BlowupClass({self})"
-
     # -- structure -----------------------------------------------------------
-
-    def graded_degree(self):
-        from .rings import ANY_DEGREE, INHOMOGENEOUS
-
-        if not self.terms:
-            return ANY_DEGREE
-        degs = {_term_degree(key) for key in self.terms}
-        return degs.pop() if len(degs) == 1 else INHOMOGENEOUS
 
     def novikov_strata(self) -> set[tuple[int, int]]:
         return {(d, e) for (_, d, e) in self.terms}
@@ -220,27 +166,6 @@ class BlowupClass:
         (basis, d, e), coeff = next(iter(self.terms.items()))
         return (d, e) == (0, 0) and coeff == 1
 
-    # -- rendering -----------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for i, (key, coeff) in enumerate(self.terms.items()):
-            body = _render_term(key)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if i == 0:
-                pieces.append(f"-{text}" if coeff < 0 else text)
-            else:
-                pieces.append(f" - {text}" if coeff < 0 else f" + {text}")
-        return "".join(pieces)
-
     def to_json_terms(self) -> list[dict]:
         return [
             {
@@ -249,33 +174,6 @@ class BlowupClass:
             }
             for (basis, d, e), coeff in self.terms.items()
         ]
-
-
-def _term_degree(key: TermKey) -> int:
-    basis, d, e = key
-    return BASIS_DEGREE[basis] + d * NOVIKOV_DEGREE[0] + e * NOVIKOV_DEGREE[1]
-
-
-def _term_order(key: TermKey) -> tuple[int, int, int, int]:
-    # Classical stratum first, then by Novikov monomial, then basis order.
-    basis, d, e = key
-    return (d + e, e, d, basis)
-
-
-def _render_term(key: TermKey) -> str:
-    basis, d, e = key
-    parts = []
-    if basis != 0:
-        parts.append(BASIS[basis])
-    if d == 1:
-        parts.append("eE")
-    elif d > 1:
-        parts.append(f"eE^{d}")
-    if e == 1:
-        parts.append("eF")
-    elif e > 1:
-        parts.append(f"eF^{e}")
-    return "*".join(parts)
 
 
 #: Shape of ``BlowupClass.to_json_terms`` output.

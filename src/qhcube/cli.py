@@ -13,30 +13,32 @@ import sys
 from fractions import Fraction
 
 from .blowup import gw_sign_solver, seidel_blowup
-from .expressions import (
-    BlowupContext,
-    EquivariantContext,
-    ExpressionError,
-    QuantumContext,
-    parse_and_evaluate,
-)
-from .gkm import NotInSpanError, chern_series
+from .errors import QhcubeError
+from .expressions import BlowupContext, EquivariantContext, QuantumContext, parse_and_evaluate
+from .gkm import chern_series
 from .hypercube import (
-    EqualWeightsError,
     MomentAssignment,
-    NonPositiveError,
     SphereClass,
     all_points,
     higher_order_infeasibility,
     moment_value,
     render_subset,
 )
-from .linsolve import InconsistentError, UnderdeterminedError
 from .quantum import GWQuery, gw_coefficient, quantum_ring, solve_structure_constants
 
 
-class UsageError(ValueError):
-    """Bad argument values detected after argparse."""
+class UsageError(QhcubeError):
+    """Bad command-line arguments, found by argparse or after it."""
+
+    code = "Usage"
+    exit_status = 2
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports argument errors as UsageError instead of printing and exiting."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _parse_subset(text: str, n: int) -> frozenset[int]:
@@ -246,7 +248,7 @@ def _cmd_blowup_signs(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qhcube",
         description="Exact quantum/equivariant cohomology calculator for "
         "semi-free circle actions with isolated fixed points.",
@@ -317,38 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except ExpressionError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 2
-    except UsageError as exc:
-        print(f"error: Usage: {exc}", file=sys.stderr)
-        return 2
-    except NotInSpanError as exc:
-        print(f"error: NotInSpan: {exc}", file=sys.stderr)
-        return 1
-    except UnderdeterminedError as exc:
-        print(f"error: Underdetermined: {exc}", file=sys.stderr)
-        return 1
-    except InconsistentError as exc:
-        print(f"error: Inconsistent: {exc}", file=sys.stderr)
-        return 1
-    except EqualWeightsError as exc:
-        print(f"error: EqualWeights: {exc}", file=sys.stderr)
-        return 1
-    except NonPositiveError as exc:
-        print(f"error: NonPositive: {exc}", file=sys.stderr)
-        return 1
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:
-        print(f"error: Usage: {exc}", file=sys.stderr)
-        return 2
-
+        kind = type(exc) if isinstance(exc, QhcubeError) else UsageError
+        print(f"error: {kind.code}: {exc}", file=sys.stderr)
+        return kind.exit_status
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -21,12 +21,15 @@ from typing import Union
 from . import blowup as blowup_mod
 from . import gkm as gkm_mod
 from . import quantum as quantum_mod
+from .errors import QhcubeError
+from .rings import render_signed_terms
 
 
-class ExpressionError(ValueError):
+class ExpressionError(QhcubeError):
     """Base class for expression failures; ``code`` is the stable CLI name."""
 
     code = "ExpressionError"
+    exit_status = 2
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -96,53 +99,48 @@ class _Token:
     value: Fraction | None = None
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8")) + 1
-
-
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
+    # 1-based byte offset of text[pos]; tokens are ASCII, so only whitespace
+    # can take more than one byte per character.
+    offset = 1
     while pos < len(text):
         ch = text[pos]
         if ch.isspace():
             pos += 1
+            offset += len(ch.encode("utf-8"))
             continue
-        offset = _byte_offset(text, pos)
         if ch in _SYMBOLS:
             tokens.append(_Token(ch, ch, offset))
             pos += 1
+            offset += 1
             continue
         m = _DIGITS_RE.match(text, pos)
         if m:
             numerator = int(m.group())
             end = m.end()
-            token_text = m.group()
             value = Fraction(numerator)
             if end < len(text) and text[end] == "/":
+                slash = offset + end + 1 - pos
                 dm = _DIGITS_RE.match(text, end + 1)
                 if dm is None:
-                    raise ExpressionSyntaxError(
-                        "expected digits after '/'", _byte_offset(text, end + 1)
-                    )
+                    raise ExpressionSyntaxError("expected digits after '/'", slash)
                 denominator = int(dm.group())
                 if denominator == 0:
-                    raise ExpressionSyntaxError(
-                        "zero denominator", _byte_offset(text, end + 1)
-                    )
+                    raise ExpressionSyntaxError("zero denominator", slash)
                 value = Fraction(numerator, denominator)
-                token_text = text[pos : dm.end()]
                 end = dm.end()
-            tokens.append(_Token("NUM", token_text, offset, value))
-            pos = end
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m:
+            tokens.append(_Token("NUM", text[pos:end], offset, value))
+        else:
+            m = _NAME_RE.match(text, pos)
+            if m is None:
+                raise ExpressionSyntaxError(f"unexpected character {ch!r}", offset)
+            end = m.end()
             tokens.append(_Token("NAME", m.group(), offset))
-            pos = m.end()
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", offset)
-    tokens.append(_Token("EOF", "", _byte_offset(text, len(text))))
+        offset += end - pos
+        pos = end
+    tokens.append(_Token("EOF", "", offset))
     return tokens
 
 
@@ -404,7 +402,7 @@ def render_equivariant_expression(cls: gkm_mod.EquivariantClass) -> str:
     Each basis coefficient lambda_I(y) contributes terms c*y^e*a{I}; the
     result parses back to an equal class in the equivariant context.
     """
-    pieces: list[str] = []
+    terms = []
     for point, lam in cls.decompose().items():
         for (e,), coeff in lam.terms.items():
             parts = []
@@ -414,16 +412,5 @@ def render_equivariant_expression(cls: gkm_mod.EquivariantClass) -> str:
                 parts.append(f"y^{e}")
             if point.members:
                 parts.append(f"a{point}")
-            body = "*".join(parts)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(f"-{text}" if coeff < 0 else text)
-            else:
-                pieces.append(f" - {text}" if coeff < 0 else f" + {text}")
-    return "".join(pieces) if pieces else "0"
+            terms.append(("*".join(parts), coeff))
+    return render_signed_terms(terms)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from . import quantum as quantum_mod
+from .errors import QhcubeError
 from .hypercube import SubsetPoint, all_points
 from .rings import (
     ANY_DEGREE,
@@ -37,8 +38,10 @@ def y_poly(terms: Mapping[int, Scalar]) -> Polynomial:
     return Y_RING.poly({(e,): c for e, c in terms.items()})
 
 
-class NotInSpanError(ValueError):
+class NotInSpanError(QhcubeError):
     """The table is not an integral combination of the triangular basis."""
+
+    code = "NotInSpan"
 
 
 class EquivariantClass:

@@ -15,15 +15,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
+from .errors import QhcubeError
+
 Scalar = Union[int, Fraction]
 
 
-class EqualWeightsError(ValueError):
+class EqualWeightsError(QhcubeError):
     """The two fixed points have equal weight sums; no invariant sphere joins them."""
 
+    code = "EqualWeights"
 
-class NonPositiveError(ValueError):
+
+class NonPositiveError(QhcubeError):
     """The covering multiplicity has the wrong sign for this ordered pair."""
+
+    code = "NonPositive"
 
 
 @dataclass(frozen=True)

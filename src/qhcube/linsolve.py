@@ -5,13 +5,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import QhcubeError
 
-class InconsistentError(ValueError):
+
+class InconsistentError(QhcubeError):
     """The linear system has no solution."""
 
+    code = "Inconsistent"
 
-class UnderdeterminedError(ValueError):
+
+class UnderdeterminedError(QhcubeError):
     """The linear system has a nontrivial kernel; the solution is not unique."""
+
+    code = "Underdetermined"
 
 
 def solve_unique(

@@ -1,13 +1,17 @@
 """The quantum cohomology ring Q[x_1..x_n, q_1..q_n] / <x_i*x_i - q_i>.
 
-Classes are kept in normal form (every x-exponent is 0 or 1), so the basis
-over the coefficient ring Q[q_1..q_n] consists of the square-free monomials
-x_I.  Multiplication in normal form is the quantum product; reducing by
-x_i^2 -> 0 instead gives the classical cup product.  The maximal Seidel
-element is x_1*...*x_n and acts on the basis by complementation twisted by
-q-monomials.  ``solve_structure_constants`` re-derives the whole product
-table from degree constraints and associativity against the Seidel element
-alone, providing an independent route to the same ring.
+Over the Novikov ring Q[q_1..q_n] the classes have the basis of square-free
+monomials x_I, and the product has the closed form
+
+    x_I q^a * x_J q^b = x_{I symmetric-difference J} q^(a + b + 1_{I cap J}),
+
+where 1_K is the indicator vector of K.  The classical cup product keeps the
+pairs with I and J disjoint.  The maximal Seidel element x_1*...*x_n maps
+x_I q^a to x_{I^c} q^(a + 1_I), a relabelling of terms.  The generic route,
+a polynomial product reduced by the rewrite x_i^2 -> q_i, gives the same ring
+and is what the tests check this one against.  ``solve_structure_constants``
+re-derives the whole product table from degree constraints and associativity
+against the Seidel element alone, an independent route to the same ring.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, Union
 
 from .hypercube import SphereClass, render_subset
 from .linsolve import InconsistentError, solve_unique_sparse
-from .rings import PolyRing, Polynomial, RewriteSystem, Scalar
+from .rings import _ZERO, Scalar, StructureAlgebra
 
 
 class DimensionMismatchError(ValueError):
@@ -33,26 +38,20 @@ def quantum_ring(n: int) -> "QuantumRing":
 
 
 class QuantumRing:
-    """Context object for a fixed n: variables, relations, and constructors.
+    """Context object for a fixed n: the basis monomials and constructors.
 
-    Variables are declared in the order q_1..q_n, x_1..x_n with degrees 4 and
-    2; monomials therefore render with the q-part first, e.g. ``q1*x2``.
+    A term x_I q^d is keyed by (mask, d): bit n - i of the mask stands for
+    x_i, so masks compare like the exponent tuples (x_1..x_n), and d is the
+    tuple of q-exponents.  Terms render with the q-part first, e.g. ``q1*x2``.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        names = [f"q{i}" for i in range(1, n + 1)] + [f"x{i}" for i in range(1, n + 1)]
-        degrees = [4] * n + [2] * n
-        self.poly_ring = PolyRing(names, degrees)
-        self.quantum_rules = RewriteSystem(
-            self.poly_ring,
-            {f"x{i}": (2, self.poly_ring.var(f"q{i}")) for i in range(1, n + 1)},
-        )
-        self.classical_rules = RewriteSystem(
-            self.poly_ring, {f"x{i}": (2, 0) for i in range(1, n + 1)}
-        )
+        self.full = (1 << n) - 1
+        self.zeros = (0,) * n
+        self._bits: dict[int, tuple[int, ...]] = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantumRing):
@@ -65,43 +64,51 @@ class QuantumRing:
     def __repr__(self) -> str:
         return f"QuantumRing(n={self.n})"
 
-    def wrap(self, poly: Polynomial) -> "QuantumClass":
-        return QuantumClass(self, poly.normal_form(self.quantum_rules))
+    def mask(self, members: Iterable[int]) -> int:
+        """The mask of x_I; members are not checked."""
+        return sum(1 << (self.n - i) for i in frozenset(members))
+
+    def bits(self, mask: int) -> tuple[int, ...]:
+        """The indicator vector (1_I(1), ..., 1_I(n)) of a mask."""
+        bits = self._bits.get(mask)
+        if bits is None:
+            bits = tuple(mask >> (self.n - i) & 1 for i in range(1, self.n + 1))
+            self._bits[mask] = bits
+        return bits
 
     def zero(self) -> "QuantumClass":
-        return QuantumClass(self, self.poly_ring.zero())
+        return QuantumClass(self, {})
 
     def one(self) -> "QuantumClass":
-        return QuantumClass(self, self.poly_ring.one())
+        return self.const(1)
 
     def const(self, value: Scalar) -> "QuantumClass":
-        return QuantumClass(self, self.poly_ring.const(value))
+        c = Fraction(value)
+        return QuantumClass(self, {(0, self.zeros): c} if c else {})
 
     def x(self, i: int) -> "QuantumClass":
-        self._check_index(i)
-        return QuantumClass(self, self.poly_ring.var(f"x{i}"))
+        return self.x_set([i])
 
     def q(self, i: int) -> "QuantumClass":
         self._check_index(i)
-        return QuantumClass(self, self.poly_ring.var(f"q{i}"))
+        return self.q_monomial(1 if j == i else 0 for j in range(1, self.n + 1))
 
     def x_set(self, members: Iterable[int]) -> "QuantumClass":
         """The basis monomial x_I."""
         members = frozenset(members)
         for i in members:
             self._check_index(i)
-        exps = {f"x{i}": 1 for i in members}
-        return QuantumClass(self, self.poly_ring.monomial(exps))
+        return QuantumClass(self, {(self.mask(members), self.zeros): Fraction(1)})
 
     def q_monomial(self, d: Union[SphereClass, Iterable[int]]) -> "QuantumClass":
         """The Novikov monomial q^d attached to the curve class sum d_i A_i."""
-        coeffs = d.coeffs if isinstance(d, SphereClass) else tuple(int(v) for v in d)
+        coeffs = d.coeffs if isinstance(d, SphereClass) else d
+        coeffs = tuple(int(v) for v in coeffs)
         if len(coeffs) != self.n:
             raise ValueError("curve class has the wrong length")
         if any(v < 0 for v in coeffs):
             raise ValueError("only effective classes have Novikov monomials")
-        exps = {f"q{i}": v for i, v in zip(range(1, self.n + 1), coeffs) if v}
-        return QuantumClass(self, self.poly_ring.monomial(exps))
+        return QuantumClass(self, {(0, coeffs): Fraction(1)})
 
     def basis_subsets(self) -> list[frozenset[int]]:
         out = []
@@ -110,150 +117,92 @@ class QuantumRing:
                 out.append(frozenset(combo))
         return out
 
-    def monomial_parts(self, exps: tuple[int, ...]) -> tuple[tuple[int, ...], frozenset[int]]:
-        """Split a ring exponent tuple into (q exponents, x support)."""
-        q_part = exps[: self.n]
-        x_part = exps[self.n :]
-        return q_part, frozenset(i + 1 for i, e in enumerate(x_part) if e)
-
     def _check_index(self, i: int):
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range 1..{self.n}")
 
 
-class QuantumClass:
-    """An element of the quantum cohomology ring, in normal form.
+class QuantumClass(StructureAlgebra):
+    """An element of the quantum cohomology ring, on the basis x_I q^d.
 
     ``*`` is the quantum product; ``cup`` is the classical product.  Addition,
     negation and scalar multiples behave as expected.  Instances are immutable.
     """
 
-    __slots__ = ("ring", "poly")
+    __slots__ = ()
 
-    def __init__(self, ring: QuantumRing, poly: Polynomial):
-        self.ring = ring
-        self.poly = poly
+    mismatch_error = DimensionMismatchError
 
-    def _other(self, value) -> "QuantumClass | None":
-        if isinstance(value, QuantumClass):
-            if value.ring.n != self.ring.n:
-                raise DimensionMismatchError("operands have different n")
-            return value
-        if isinstance(value, (int, Fraction)):
-            return self.ring.const(value)
-        return None
+    def _order(self, key: tuple[int, tuple[int, ...]]) -> tuple:
+        mask, d = key
+        return (2 * mask.bit_count() + 4 * sum(d), d, mask)
 
-    def __add__(self, other):
-        other = self._other(other)
-        if other is None:
-            return NotImplemented
-        return QuantumClass(self.ring, self.poly + other.poly)
+    def _degree(self, key: tuple[int, tuple[int, ...]]) -> int:
+        mask, d = key
+        return 2 * mask.bit_count() + 4 * sum(d)
 
-    __radd__ = __add__
+    def _render(self, key: tuple[int, tuple[int, ...]]) -> str:
+        mask, d = key
+        parts = [f"q{i}" if e == 1 else f"q{i}^{e}" for i, e in enumerate(d, 1) if e]
+        parts += [f"x{i}" for i, bit in enumerate(self.ring.bits(mask), 1) if bit]
+        return "*".join(parts)
 
-    def __neg__(self):
-        return QuantumClass(self.ring, -self.poly)
+    def _unit_key(self) -> tuple[int, tuple[int, ...]]:
+        return (0, self.ring.zeros)
 
-    def __sub__(self, other):
-        other = self._other(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._other(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        """Quantum product: polynomial product reduced by x_i^2 -> q_i."""
-        if isinstance(other, (int, Fraction)):
-            return QuantumClass(self.ring, self.poly * other)
-        other = self._other(other)
-        if other is None:
-            return NotImplemented
-        return self.ring.wrap(self.poly * other.poly)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
+    def _product(self, other: "QuantumClass", quantum: bool = True) -> dict:
+        """The closed-form basis product; without ``quantum``, the cup product."""
+        bits = self.ring.bits
+        out: dict = {}
+        for (m1, d1), c1 in self.terms.items():
+            for (m2, d2), c2 in other.terms.items():
+                both = m1 & m2
+                if not both:
+                    key = (m1 ^ m2, tuple(map(add, d1, d2)))
+                elif quantum:
+                    key = (m1 ^ m2, tuple(a + b + c for a, b, c in zip(d1, d2, bits(both))))
+                else:
+                    continue
+                acc = out.get(key, _ZERO) + c1 * c2
+                if acc:
+                    out[key] = acc
+                elif key in out:
+                    del out[key]
         return out
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        if not isinstance(other, QuantumClass):
-            return NotImplemented
-        return self.ring.n == other.ring.n and self.poly == other.poly
-
-    def __hash__(self) -> int:
-        return hash(self.poly)
-
-    def __bool__(self) -> bool:
-        return bool(self.poly)
-
-    def __str__(self) -> str:
-        return str(self.poly)
-
     def __repr__(self) -> str:
-        return f"QuantumClass(n={self.ring.n}, {self.poly})"
+        return f"QuantumClass(n={self.ring.n}, {self})"
 
     def cup(self, other: "QuantumClass") -> "QuantumClass":
-        """Classical cup product: the same product reduced by x_i^2 -> 0."""
-        other = self._other(other)
-        return QuantumClass(
-            self.ring, (self.poly * other.poly).normal_form(self.ring.classical_rules)
-        )
+        """Classical cup product: the basis product of disjoint monomials only."""
+        return self._new(self._product(self._other(other), quantum=False))
 
     def pairing(self, other: "QuantumClass") -> Fraction:
         """Integral of the cup product: the coefficient of x_1*...*x_n."""
-        other = self._other(other)
-        top = (0,) * self.ring.n + (1,) * self.ring.n
-        return (
-            (self.poly * other.poly)
-            .normal_form(self.ring.classical_rules)
-            .coefficient(top)
-        )
+        return self.cup(other).coefficient(range(1, self.ring.n + 1))
 
     def seidel(self) -> "QuantumClass":
         """Quantum multiplication by the maximal Seidel element x_1*...*x_n."""
-        return self.ring.x_set(range(1, self.ring.n + 1)) * self
-
-    def graded_degree(self):
-        return self.poly.graded_degree()
+        full, bits = self.ring.full, self.ring.bits
+        return self._new(
+            {(full ^ m, tuple(map(add, d, bits(m)))): c for (m, d), c in self.terms.items()}
+        )
 
     def coefficient(self, members: Iterable[int], d: Iterable[int] | None = None) -> Fraction:
         """Coefficient of the basis monomial x_I q^d."""
-        n = self.ring.n
-        d = (0,) * n if d is None else tuple(int(v) for v in d)
-        exps = list(d) + [0] * n
-        for i in frozenset(members):
-            exps[n + i - 1] = 1
-        return self.poly.coefficient(tuple(exps))
-
-    def is_q_free(self) -> bool:
-        return all(
-            all(e == 0 for e in mono[: self.ring.n]) for mono in self.poly.terms
-        )
+        d = self.ring.zeros if d is None else tuple(int(v) for v in d)
+        return super().coefficient((self.ring.mask(members), d))
 
     def to_json_terms(self) -> list[dict]:
         """Canonical JSON form: one entry per term, in canonical order."""
-        out = []
-        for mono, coeff in self.poly.terms.items():
-            q_part, x_support = self.ring.monomial_parts(mono)
-            out.append(
-                {
-                    "monomial": {"x": sorted(x_support), "q": list(q_part)},
-                    "coeff": str(coeff),
-                }
-            )
-        return out
+        bits = self.ring.bits
+        return [
+            {
+                "monomial": {"x": [i for i, b in enumerate(bits(m), 1) if b], "q": list(d)},
+                "coeff": str(coeff),
+            }
+            for (m, d), coeff in self.terms.items()
+        ]
 
 
 #: Shape of ``QuantumClass.to_json_terms`` output.
@@ -363,8 +312,8 @@ def solve_structure_constants(
     constrained by (i) degree homogeneity, (ii) the classical part being the
     cup product, and (iii) associativity against the known action of the
     maximal Seidel element, x_S * x_J = x_{J^c} q_J.  The resulting linear
-    system over Q has a unique solution, which is checked against the normal
-    form product before being returned.
+    system over Q has a unique solution, which is checked against the
+    closed-form product before being returned.
 
     Raises UnderdeterminedError or InconsistentError when the system
     misbehaves (it never does for n within the configured bound).
@@ -446,7 +395,7 @@ def solve_structure_constants(
             if value != expected:
                 raise InconsistentError(
                     f"solved product for ({render_subset(i_set)}, {j}) "
-                    "disagrees with the normal-form product"
+                    "disagrees with the closed-form product"
                 )
             table[(i_set, j)] = value
     return table

@@ -1,22 +1,27 @@
-"""Exact sparse multivariate polynomial arithmetic over the rationals.
+"""The sparse exact-algebra core and the polynomial rings built on it.
+
+:class:`StructureAlgebra` is an immutable sparse combination of keyed terms
+with nonzero ``Fraction`` coefficients, kept in a canonical order so that
+equal elements have identical representations and one canonical rendering.
+It owns the linear structure, comparison, powers and the signed-term text; a
+subclass names its key order, key degree, key rendering and term product.
+:class:`Polynomial` (exponent-tuple keys), the quantum classes of
+``qhcube.quantum`` and the blow-up classes of ``qhcube.blowup`` are its
+subclasses.
 
 A polynomial lives in a declared ring: an ordered tuple of named variables,
-each carrying an integer grading degree.  Terms map exponent tuples to
-nonzero ``Fraction`` coefficients and are kept in a fixed graded-lexicographic
-order, so equal polynomials always have identical representations and their
-text rendering is canonical.
-
-Quotients by relations of the form v^k -> replacement (e.g. the square of a
-degree-two generator collapsing to a degree-four one, or to zero) are handled
-by :class:`RewriteSystem` together with :meth:`Polynomial.normal_form`.
-All coefficients are exact; there is no floating point anywhere.
+each carrying an integer grading degree.  Quotients by relations of the form
+v^k -> replacement are handled by :class:`RewriteSystem` together with
+:meth:`Polynomial.normal_form`; this is the generic route against which the
+closed-form quantum product is tested.  All coefficients are exact; there is
+no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Hashable, Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
@@ -158,25 +163,91 @@ class PolyRing:
         return "*".join(parts)
 
 
-class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients.
+_ZERO = Fraction(0)
 
-    ``terms`` maps exponent tuples to nonzero Fractions, in descending
-    (graded degree, exponent tuple) order.  Arithmetic is available through
-    the usual operators; mixed operands must share the ring.
+
+def render_signed_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """Canonical text of a sum of (body, coefficient) terms, e.g. ``-x1 + 3/2*q2``.
+
+    An empty body is the unit; a zero sum renders as ``0``.
+    """
+    pieces = []
+    for body, coeff in terms:
+        mag = abs(coeff)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if pieces:
+            pieces.append(f" - {text}" if coeff < 0 else f" + {text}")
+        else:
+            pieces.append(f"-{text}" if coeff < 0 else text)
+    return "".join(pieces) or "0"
+
+
+class StructureAlgebra:
+    """Immutable sparse element of an algebra with exact rational coefficients.
+
+    ``terms`` maps keys to nonzero Fractions in descending ``_order``.  Mixed
+    operands must be of one class and share ``ring``; ints and Fractions act
+    as multiples of the unit.  A subclass supplies ``_order``, ``_degree``,
+    ``_render`` and ``_product`` for its keys, and ``_unit_key``.
     """
 
     __slots__ = ("ring", "terms", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[Exponents, Fraction]):
+    #: Raised when operands of one class live in different rings.
+    mismatch_error: type[ValueError] = ValueError
+
+    def __init__(self, ring, terms: Mapping[Hashable, Fraction]):
         self.ring = ring
-        order = sorted(
-            terms.items(),
-            key=lambda kv: (ring.monomial_degree(kv[0]), kv[0]),
-            reverse=True,
-        )
-        self.terms = dict(order)
+        self.terms = {key: terms[key] for key in sorted(terms, key=self._order, reverse=True)}
         self._hash = None
+
+    # -- what a subclass supplies ------------------------------------------
+
+    def _order(self, key) -> tuple:
+        """Sort key of a term; terms are kept in descending order."""
+        raise NotImplementedError
+
+    def _degree(self, key) -> int:
+        """Graded degree of a term."""
+        raise NotImplementedError
+
+    def _render(self, key) -> str:
+        """Text of a term without its coefficient; empty for the unit."""
+        raise NotImplementedError
+
+    def _product(self, other) -> dict:
+        """Terms of ``self * other``, nonzero coefficients only."""
+        raise NotImplementedError
+
+    def _unit_key(self):
+        """Key of the unit term."""
+        raise NotImplementedError
+
+    # -- construction ------------------------------------------------------
+
+    def _new(self, terms: Mapping[Hashable, Fraction]):
+        """An element of the same class and ring, without input checks."""
+        new = object.__new__(type(self))
+        StructureAlgebra.__init__(new, self.ring, terms)
+        return new
+
+    def _scalar(self, value: Scalar):
+        c = Fraction(value)
+        return self._new({self._unit_key(): c} if c else {})
+
+    def _other(self, value):
+        if isinstance(value, type(self)):
+            if value.ring != self.ring:
+                raise self.mismatch_error("operands live in different rings")
+            return value
+        if isinstance(value, (int, Fraction)):
+            return self._scalar(value)
+        return None
 
     # -- basic protocol ----------------------------------------------------
 
@@ -188,8 +259,8 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        if not isinstance(other, Polynomial):
+            other = self._scalar(other)
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
@@ -198,44 +269,38 @@ class Polynomial:
         # keeps the eq/hash contract.
         if self._hash is None:
             if not self.terms:
-                self._hash = hash(Fraction(0))
-            elif len(self.terms) == 1 and not any(next(iter(self.terms))):
+                self._hash = hash(_ZERO)
+            elif len(self.terms) == 1 and self._unit_key() in self.terms:
                 self._hash = hash(next(iter(self.terms.values())))
             else:
                 self._hash = hash((self.ring, tuple(self.terms.items())))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Polynomial({self})"
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self) -> str:
+        return render_signed_terms((self._render(key), c) for key, c in self.terms.items())
 
     # -- arithmetic --------------------------------------------------------
-
-    def _other(self, value) -> "Polynomial | None":
-        if isinstance(value, Polynomial):
-            if value.ring != self.ring:
-                raise VariableMismatchError("operands live in different rings")
-            return value
-        if isinstance(value, (int, Fraction)):
-            return self.ring.const(value)
-        return None
 
     def __add__(self, other):
         other = self._other(other)
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
+        for key, coeff in other.terms.items():
+            acc = out.get(key, _ZERO) + coeff
             if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-        return Polynomial(self.ring, out)
+                out[key] = acc
+            elif key in out:
+                del out[key]
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return self._new({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._other(other)
@@ -253,33 +318,73 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if c == 0:
-                return self.ring.zero()
-            return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
+                return self._new({})
+            return self._new({key: c * v for key, v in self.terms.items()})
         other = self._other(other)
         if other is None:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                acc = out.get(mono, Fraction(0)) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                elif mono in out:
-                    del out[mono]
-        return Polynomial(self.ring, out)
+        return self._new(self._product(other))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = self.ring.one()
+        out = self._scalar(1)
         for _ in range(k):
             out = out * self
         return out
 
     # -- structure ---------------------------------------------------------
+
+    def coefficient(self, key) -> Fraction:
+        return self.terms.get(key, _ZERO)
+
+    def graded_degree(self):
+        """Common degree of all terms, INHOMOGENEOUS, or ANY_DEGREE for zero."""
+        if not self.terms:
+            return ANY_DEGREE
+        degs = {self._degree(key) for key in self.terms}
+        if len(degs) == 1:
+            return degs.pop()
+        return INHOMOGENEOUS
+
+
+class Polynomial(StructureAlgebra):
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    ``terms`` maps exponent tuples to nonzero Fractions, in descending
+    (graded degree, exponent tuple) order.  Arithmetic is available through
+    the usual operators; mixed operands must share the ring.
+    """
+
+    __slots__ = ()
+
+    mismatch_error = VariableMismatchError
+
+    def _order(self, exps: Exponents) -> tuple:
+        return (self.ring.monomial_degree(exps), exps)
+
+    def _degree(self, exps: Exponents) -> int:
+        return self.ring.monomial_degree(exps)
+
+    def _render(self, exps: Exponents) -> str:
+        return self.ring.render_monomial(exps)
+
+    def _unit_key(self) -> Exponents:
+        return (0,) * len(self.ring.names)
+
+    def _product(self, other: "Polynomial") -> dict[Exponents, Fraction]:
+        out: dict[Exponents, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                acc = out.get(mono, _ZERO) + c1 * c2
+                if acc:
+                    out[mono] = acc
+                elif mono in out:
+                    del out[mono]
+        return out
 
     def coefficient(self, exps: Union[Exponents, Mapping[str, int]]) -> Fraction:
         if isinstance(exps, Mapping):
@@ -287,16 +392,7 @@ class Polynomial:
             for name, e in exps.items():
                 vec[self.ring.index(name)] = int(e)
             exps = tuple(vec)
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    def graded_degree(self):
-        """Common degree of all terms, INHOMOGENEOUS, or ANY_DEGREE for zero."""
-        if not self.terms:
-            return ANY_DEGREE
-        degs = {self.ring.monomial_degree(m) for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return INHOMOGENEOUS
+        return self.terms.get(tuple(exps), _ZERO)
 
     def is_homogeneous(self, degree: int) -> bool:
         return degrees_match(self.graded_degree(), degree)
@@ -346,7 +442,7 @@ class Polynomial:
             mono, coeff = stack.pop()
             hit = system.match(mono)
             if hit is None:
-                acc = out.get(mono, Fraction(0)) + coeff
+                acc = out.get(mono, _ZERO) + coeff
                 if acc:
                     out[mono] = acc
                 elif mono in out:
@@ -360,27 +456,6 @@ class Polynomial:
                     (tuple(b + r for b, r in zip(base, rmono)), coeff * rcoeff)
                 )
         return Polynomial(self.ring, out)
-
-    # -- rendering ---------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for i, (mono, coeff) in enumerate(self.terms.items()):
-            body = self.ring.render_monomial(mono)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if i == 0:
-                pieces.append(f"-{text}" if coeff < 0 else text)
-            else:
-                pieces.append(f" - {text}" if coeff < 0 else f" + {text}")
-        return "".join(pieces)
 
 
 class RewriteSystem:
@@ -438,7 +513,3 @@ def elementary_symmetric(ring: PolyRing, k: int, names: Iterable[str] | None = N
         terms[tuple(vec)] = terms.get(tuple(vec), Fraction(0)) + 1
     return Polynomial(ring, terms)
 
-
-def monomials_of(poly: Polynomial) -> Iterator[tuple[Exponents, Fraction]]:
-    """Iterate terms in the canonical order."""
-    return iter(poly.terms.items())

@@ -8,6 +8,8 @@ from fractions import Fraction
 from qhcube import (
     EquivariantClass,
     PolyRing,
+    Polynomial,
+    RewriteSystem,
     Y_RING,
     all_points,
     basis_a,
@@ -23,6 +25,44 @@ def random_polynomial(rng: random.Random, ring: PolyRing, max_terms=4, max_exp=2
         coeff = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 3))
         terms[mono] = terms.get(mono, Fraction(0)) + coeff
     return ring.poly(terms)
+
+
+# -- the generic route to the quantum ring -----------------------------------------
+
+
+def quantum_poly_ring(n: int) -> PolyRing:
+    """Q[q_1..q_n, x_1..x_n] with deg q_i = 4 and deg x_i = 2."""
+    names = [f"q{i}" for i in range(1, n + 1)] + [f"x{i}" for i in range(1, n + 1)]
+    return PolyRing(names, [4] * n + [2] * n)
+
+
+def quantum_rewrite_systems(n: int) -> tuple[RewriteSystem, RewriteSystem]:
+    """The rewrites x_i^2 -> q_i (quantum) and x_i^2 -> 0 (classical)."""
+    ring = quantum_poly_ring(n)
+    quantum = RewriteSystem(ring, {f"x{i}": (2, ring.var(f"q{i}")) for i in range(1, n + 1)})
+    classical = RewriteSystem(ring, {f"x{i}": (2, 0) for i in range(1, n + 1)})
+    return quantum, classical
+
+
+def quantum_to_polynomial(cls) -> Polynomial:
+    """A quantum class as the square-free polynomial with the same terms."""
+    n = cls.ring.n
+    terms = {}
+    for term in cls.to_json_terms():
+        monomial = term["monomial"]
+        x_part = [1 if i in monomial["x"] else 0 for i in range(1, n + 1)]
+        terms[tuple(monomial["q"]) + tuple(x_part)] = Fraction(term["coeff"])
+    return quantum_poly_ring(n).poly(terms)
+
+
+def polynomial_json_terms(poly: Polynomial, n: int) -> list[dict]:
+    """``QuantumClass.to_json_terms`` of a normal-form polynomial, term by term."""
+    out = []
+    for mono, coeff in poly.terms.items():
+        assert all(e <= 1 for e in mono[n:]), "not in normal form"
+        x_support = [i for i, e in enumerate(mono[n:], 1) if e]
+        out.append({"monomial": {"x": x_support, "q": list(mono[:n])}, "coeff": str(coeff)})
+    return out
 
 
 def random_quantum_class(rng: random.Random, n: int, max_terms=3, max_q=2, coeff_bound=5):

@@ -5,13 +5,26 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 from qhcube import (
     BLOWUP_CLASS_JSON_SCHEMA,
     EQUIVARIANT_CLASS_JSON_SCHEMA,
     QUANTUM_CLASS_JSON_SCHEMA,
+    EqualWeightsError,
+    InconsistentError,
+    NonPositiveError,
+    NotInSpanError,
+    UnderdeterminedError,
+    cli,
 )
-from qhcube.cli import main
+from qhcube.cli import UsageError, main
+from qhcube.expressions import (
+    ExpressionError,
+    ExpressionSyntaxError,
+    IndexOutOfRangeError,
+    UnknownGeneratorError,
+)
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +100,38 @@ def test_usage_error_exit_code(capsys):
 
 def test_bad_subcommand_exit_code(capsys):
     assert main(["frobnicate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Usage: ") and err.count("\n") == 1
+
+
+def test_help_still_prints_usage(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: qhcube")
+
+
+@pytest.mark.parametrize(
+    "error, line, status",
+    [
+        (ExpressionError("bad input", 2), "ExpressionError: bad input (offset 2)", 2),
+        (ExpressionSyntaxError("bad token", 3), "SyntaxError: bad token (offset 3)", 2),
+        (UnknownGeneratorError("unknown z", 1), "UnknownGenerator: unknown z (offset 1)", 2),
+        (IndexOutOfRangeError("index 9", 4), "IndexOutOfRange: index 9 (offset 4)", 2),
+        (UsageError("bad flag"), "Usage: bad flag", 2),
+        (NotInSpanError("not integral"), "NotInSpan: not integral", 1),
+        (UnderdeterminedError("free columns: [0]"), "Underdetermined: free columns: [0]", 1),
+        (InconsistentError("no solution"), "Inconsistent: no solution", 1),
+        (EqualWeightsError("equal sums"), "EqualWeights: equal sums", 1),
+        (NonPositiveError("wrong sign"), "NonPositive: wrong sign", 1),
+        (ValueError("plain value error"), "Usage: plain value error", 2),
+    ],
+)
+def test_errors_print_one_line_and_status(capsys, monkeypatch, error, line, status):
+    def fail(n):
+        raise error
+
+    monkeypatch.setattr(cli, "higher_order_infeasibility", fail)
+    assert run_cli(capsys, "certify", "--n", "2") == (status, "", f"error: {line}\n")
 
 
 def test_solver_bound_exit_code(capsys):

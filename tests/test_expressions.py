@@ -16,6 +16,7 @@ from qhcube.expressions import (
     Num,
     QuantumContext,
     UnknownGeneratorError,
+    _tokenize,
     parse,
     parse_and_evaluate,
     render_equivariant_expression,
@@ -87,6 +88,33 @@ def test_syntax_error_offsets():
     with pytest.raises(ExpressionSyntaxError) as err:
         parse("x1 x2", QuantumContext(2))
     assert err.value.offset == 4
+
+
+def test_offsets_count_utf8_bytes():
+    # U+00A0 is whitespace and takes two bytes in UTF-8.
+    with pytest.raises(IndexOutOfRangeError) as err:
+        parse("\u00a0x3", QuantumContext(2))
+    assert err.value.offset == 3
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse("x1 +\u00a0\u00a0x1 ^ q", QuantumContext(2))
+    assert err.value.offset == 14
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse("\u00a0 1/0", QuantumContext(2))
+    assert err.value.offset == 6
+
+
+def test_token_offsets_on_long_mixed_whitespace():
+    rng = random.Random(99)
+    spaces = [" ", "\t", "\u00a0", "\u2003", "\u3000"]
+    pieces, starts = [], []
+    for _ in range(2000):
+        pieces.append("".join(rng.choice(spaces) for _ in range(rng.randint(1, 2))))
+        starts.append(sum(map(len, pieces)))
+        pieces.append(rng.choice(["x1", "+", "3/4", "q12", "("]))
+    text = "".join(pieces)
+    tokens = _tokenize(text)
+    want = [len(text[:i].encode("utf-8")) + 1 for i in starts + [len(text)]]
+    assert [t.offset for t in tokens] == want
 
 
 def test_subset_literal_errors():
