@@ -134,15 +134,15 @@ class PolyRing:
         """Build a polynomial from an exponent-tuple to coefficient mapping."""
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != len(self.names):
                 raise ValueError("exponent tuple length does not match the ring")
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise ValueError("negative exponent")
-            c = Fraction(coeff)
-            if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-        return Polynomial(self, {m: c for m, c in clean.items() if c != 0})
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if c:
+                clean[exps] = clean[exps] + c if exps in clean else c
+        return Polynomial(self, {m: c for m, c in clean.items() if c})
 
     def coerce(self, value: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(value, Polynomial):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from qhcube import (
     EquivariantClass,
+    NotInSpanError,
     PolyRing,
     Polynomial,
     RewriteSystem,
@@ -120,6 +121,16 @@ def random_gkm_class(rng: random.Random, n: int, max_y_deg=2, coeff_bound=3):
     return out
 
 
+def random_table(rng: random.Random, n: int, max_y_deg=3, coeff_bound=3) -> EquivariantClass:
+    """A random value table: integer polynomials in y at every point, mostly out of span."""
+    values = {}
+    for point in all_points(n):
+        terms = {(e,): rng.randint(-coeff_bound, coeff_bound) for e in range(max_y_deg + 1)
+                 if rng.random() < 0.5}
+        values[point] = Y_RING.poly(terms)
+    return EquivariantClass(n, values)
+
+
 def random_blowup_class(rng: random.Random, max_terms=4, max_nov=2, coeff_bound=5):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -127,3 +138,80 @@ def random_blowup_class(rng: random.Random, max_terms=4, max_nov=2, coeff_bound=
         coeff = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 3))
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return BlowupClass(terms)
+
+
+# -- the generic routes of the localization model ------------------------------------
+
+
+def decompose_by_elimination(cls: EquivariantClass) -> dict:
+    """Triangular elimination ascending in |I|: restrict at p_I, divide by (-y)^|I|, subtract."""
+    residual = cls
+    coefficients = {}
+    for point in all_points(cls.n):
+        value = residual.restrict(point)
+        k = len(point.members)
+        if value.is_zero():
+            coefficients[point] = Y_RING.zero()
+            continue
+        terms = {}
+        for (e,), coeff in value.terms.items():
+            if e < k:
+                raise NotInSpanError(
+                    f"restriction at {point} is not divisible by y^{k}", point=str(point), power=k
+                )
+            terms[(e - k,)] = coeff
+        lam = Y_RING.poly(terms) * (-1) ** k
+        coefficients[point] = lam
+        residual = residual - basis_a(cls.n, point.members) * lam
+    return coefficients
+
+
+def reduce_by_elimination(cls: EquivariantClass):
+    """The y = 0 image, summed basis class by basis class from the elimination route."""
+    ring = quantum_ring(cls.n)
+    result = ring.zero()
+    for point, lam in decompose_by_elimination(cls).items():
+        constant = lam.coefficient((0,))
+        if constant:
+            result = result + constant * ring.x_set(point.members)
+    return result
+
+
+def basis_b_by_product(n: int, members) -> EquivariantClass:
+    """b_I as the product of (a_i + y) over i not in I."""
+    members = frozenset(members)
+    result = EquivariantClass.one(n)
+    y = EquivariantClass.y_class(n)
+    for i in range(1, n + 1):
+        if i not in members:
+            result = result * (basis_a(n, [i]) + y)
+    return result
+
+
+def chern_series_by_product(n: int) -> list[EquivariantClass]:
+    """c_1..c_n from the product of 1 + t*(2*a_i - y) at each point, in Q[y, t]."""
+    yt_ring = PolyRing(("y", "t"), (2, 0))
+    y = yt_ring.var("y")
+    t = yt_ring.var("t")
+    tables = [dict() for _ in range(n + 1)]
+    for point in all_points(n):
+        product = yt_ring.one()
+        for i in range(1, n + 1):
+            a_i = -y if i in point.members else yt_ring.zero()
+            product = product * (yt_ring.one() + t * (2 * a_i - y))
+        buckets = [dict() for _ in range(n + 1)]
+        for (ye, te), coeff in product.terms.items():
+            buckets[te][(ye,)] = coeff
+        for k in range(n + 1):
+            tables[k][point] = Y_RING.poly(buckets[k])
+    return [EquivariantClass(n, tables[k]) for k in range(1, n + 1)]
+
+
+def gkm_check_by_edges(cls: EquivariantClass) -> bool:
+    """True when the difference along every upward gradient edge is divisible by y."""
+    for point in all_points(cls.n):
+        here = cls.restrict(point)
+        for target, _ in point.upward_edges():
+            if (cls.restrict(target) - here).coefficient((0,)) != 0:
+                return False
+    return True

@@ -203,6 +203,29 @@ def test_restrict_a_outside_support(capsys):
     assert (code, out) == (0, "0\n")
 
 
+def test_restrict_huge_power_is_fast():
+    # The pointwise power squares its way to the exponent instead of looping.
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhcube", "restrict", "--n", "3", "y^99999999999", "--point", "{}"],
+        capture_output=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"y^99999999999\n", b"")
+
+
+def test_leading_minus_after_separator(capsys):
+    assert run_cli(capsys, "mul", "--n", "2", "--", "-x1", "x2") == (0, "-x1*x2\n", "")
+    assert run_cli(capsys, "decompose", "--n", "2", "--", "-b{}") == (
+        0, "{}: -y^2\n{1}: -y\n{2}: -y\n{1,2}: -1\n", ""
+    )
+
+
+def test_scalar_minus_equivariant_class(capsys):
+    assert run_cli(capsys, "decompose", "--n", "2", "1 - a{1}") == (
+        0, "{}: 1\n{1}: -1\n{2}: 0\n{1,2}: 0\n", ""
+    )
+    assert run_cli(capsys, "restrict", "--n", "2", "2 - y", "--point", "{}") == (0, "-y + 2\n", "")
+
+
 def test_chern_json_schema(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "chern", "--n", "2")
     assert code == 0
